@@ -69,6 +69,12 @@ type Node struct {
 	sess   *session
 	parked []parkedConn
 	closed bool
+	// plans holds each fault plan text's parsed plan for the life of the
+	// node, so its fire-once state is per plan, not per session: a rule
+	// that killed one replica incarnation stays spent when the
+	// coordinator reconnects the next, exactly as an in-process
+	// supervisor's restarted pipeline keeps its plan. Guarded by mu.
+	plans map[string]*fault.Plan
 
 	// Telemetry state of the most recent session, kept past its end so
 	// the HTTP surface stays useful for post-mortems between sessions.
@@ -281,6 +287,25 @@ func (n *Node) routePeer(conn net.Conn, f *frame) {
 	tr.runLink(newLink(f.From, conn.RemoteAddr().String(), conn, n.cfg.Window))
 }
 
+// faultPlan returns the node's parsed plan for text, parsing it on first
+// use.
+func (n *Node) faultPlan(text string) (*fault.Plan, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if p, ok := n.plans[text]; ok {
+		return p, nil
+	}
+	p, err := fault.ParsePlan(text)
+	if err != nil {
+		return nil, err
+	}
+	if n.plans == nil {
+		n.plans = make(map[string]*fault.Plan)
+	}
+	n.plans[text] = p
+	return p, nil
+}
+
 // runSession hosts one replica incarnation end to end: build the partial
 // world and transport, wire every peer link, spawn the hosted task
 // groups, report ready, then serve until the world dies — a graceful
@@ -300,7 +325,7 @@ func (n *Node) runSession(s *session, coordConn net.Conn) {
 	}
 	var inj *fault.Injector
 	if man.FaultPlan != "" {
-		plan, err := fault.ParsePlan(man.FaultPlan)
+		plan, err := n.faultPlan(man.FaultPlan)
 		if err != nil {
 			logf("stapnode: session %s: bad fault plan: %v", s.id, err)
 			coordConn.Close()

@@ -78,13 +78,21 @@ func (m *Matrix) Equalish(o *Matrix, tol float64) bool {
 // H returns the conjugate transpose of m as a new matrix.
 func (m *Matrix) H() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
+	m.HInto(out)
+	return out
+}
+
+// HInto writes the conjugate transpose of m into dst (m.Cols x m.Rows)
+// without allocating.
+func (m *Matrix) HInto(dst *Matrix) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic("linalg: HInto dimension mismatch")
+	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*out.Cols+i] = cmplx.Conj(v)
+		for j, v := range m.Row(i) {
+			dst.Data[j*dst.Cols+i] = cmplx.Conj(v)
 		}
 	}
-	return out
 }
 
 // T returns the (non-conjugated) transpose of m as a new matrix.
@@ -117,9 +125,24 @@ func Identity(n int) *Matrix {
 }
 
 // VStack stacks matrices vertically. All must share the column count.
-func VStack(ms ...*Matrix) *Matrix {
+func VStack(ms ...*Matrix) *Matrix { return VStackInto(nil, ms...) }
+
+// Resize returns an r x c matrix with unspecified contents: m itself,
+// reshaped, when its storage is large enough, else a new matrix.
+func Resize(m *Matrix, r, c int) *Matrix {
+	if m == nil || cap(m.Data) < r*c {
+		return NewMatrix(r, c)
+	}
+	m.Rows, m.Cols, m.Data = r, c, m.Data[:r*c]
+	return m
+}
+
+// VStackInto is VStack writing into dst, reusing its storage when it is
+// large enough (see Resize). It returns the stacked matrix. dst must not
+// be one of ms.
+func VStackInto(dst *Matrix, ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
-		return NewMatrix(0, 0)
+		return Resize(dst, 0, 0)
 	}
 	c := ms[0].Cols
 	r := 0
@@ -129,13 +152,12 @@ func VStack(ms ...*Matrix) *Matrix {
 		}
 		r += m.Rows
 	}
-	out := NewMatrix(r, c)
+	dst = Resize(dst, r, c)
 	off := 0
 	for _, m := range ms {
-		copy(out.Data[off:off+len(m.Data)], m.Data)
-		off += len(m.Data)
+		off += copy(dst.Data[off:], m.Data)
 	}
-	return out
+	return dst
 }
 
 // Mul returns a*b. Panics on dimension mismatch.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"time"
 
 	"pstap/internal/cube"
@@ -19,18 +20,27 @@ func (c Config) more(cpi int) bool { return c.NumCPIs == 0 || cpi < c.NumCPIs }
 // streaming reports whether the run is open-ended.
 func (c Config) streaming() bool { return c.NumCPIs == 0 }
 
-// emit publishes one worker-CPI span: into the run's private span slice
-// when the run collects timing (batch mode; streaming runs pass nil
-// slices), and into the obs collector when one is attached (always-on
-// telemetry, both modes). tr is the control message the worker received
-// for this CPI — its trace/hop lineage labels the span.
-func (c Config) emit(task, w int, spans []Span, cpi int, s Span, tr ctl) {
+// finish closes one worker-CPI iteration. It publishes the span: into the
+// run's private span slice when the run collects timing (batch mode;
+// streaming runs pass nil slices), and into the obs collector when one is
+// attached (always-on telemetry, both modes). tr is the control message
+// the worker received for this CPI — its trace/hop lineage labels the
+// span.
+//
+// It then yields the processor. The worker has just handed this CPI
+// downstream; when workers outnumber cores, yielding lets the consumers
+// run now rather than after this worker has run ahead by up to the credit
+// window. Without it, scenes whose CPIs take well under a scheduler slice
+// complete in bursts, and the measured throughput of identical runs
+// swings by an order of magnitude.
+func (c Config) finish(task, w int, spans []Span, cpi int, s Span, tr ctl) {
 	if cpi < len(spans) {
 		spans[cpi] = s
 	}
 	if c.Obs != nil {
 		c.Obs.RecordTracedSpan(task, w, cpi, tr.Trace, tr.Hop, s.T0, s.T1, s.T2, s.T3)
 	}
+	runtime.Gosched()
 }
 
 // stamp stores a timestamp when the run collects them.
@@ -91,7 +101,7 @@ func dopplerWorker(world *mp.World, topo *topology, cfg Config, gain []float64, 
 			comm.Send(topo.groups[TaskHardBF].Global(dw), tag(tagHardBFData, cpi), bfDataMsg{piece: piece, ctl: fwd})
 		}
 		t3 := time.Now()
-		cfg.emit(TaskDoppler, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, msg.ctl)
+		cfg.finish(TaskDoppler, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, msg.ctl)
 	}
 }
 
@@ -109,11 +119,14 @@ func easyWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 	bins := binsAt(topo.easyBins, pos)
 	state := stap.NewEasyWeightStateForBins(p, beamAz, bins)
 	p0 := topo.groups[TaskDoppler].N
+	// Worker-owned stacking buffers: ObserveRows copies what it keeps.
+	perSrc := make([][]*linalg.Matrix, p0)
+	stacked := make([]*linalg.Matrix, len(bins))
+	parts := make([]*linalg.Matrix, p0)
 	for cpi := 0; cfg.more(cpi); cpi++ {
 		t0 := time.Now()
 		cfg.faultPoint(TaskEasyWeight, w, cpi)
 		var c ctl
-		perSrc := make([][]*linalg.Matrix, p0)
 		for s := 0; s < p0; s++ {
 			msg := comm.Recv(topo.groups[TaskDoppler].Global(s), tag(tagEasyTrain, cpi)).(easyTrainMsg)
 			perSrc[s] = msg.rows
@@ -125,13 +138,11 @@ func easyWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 		if c.Reset && cpi > 0 {
 			state = stap.NewEasyWeightStateForBins(p, beamAz, bins)
 		}
-		stacked := make([]*linalg.Matrix, len(bins))
-		parts := make([]*linalg.Matrix, p0)
 		for bi := range bins {
 			for s := 0; s < p0; s++ {
 				parts[s] = perSrc[s][bi]
 			}
-			stacked[bi] = linalg.VStack(parts...)
+			stacked[bi] = linalg.VStackInto(stacked[bi], parts...)
 		}
 		t1 := time.Now()
 		state.ObserveRows(stacked)
@@ -148,7 +159,7 @@ func easyWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 			}
 		}
 		t3 := time.Now()
-		cfg.emit(TaskEasyWeight, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		cfg.finish(TaskEasyWeight, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
 
@@ -164,11 +175,18 @@ func hardWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 	state := stap.NewHardWeightStateForBins(p, beamAz, bins)
 	p0 := topo.groups[TaskDoppler].N
 	nSeg := p.NumSegments()
+	// Worker-owned stacking buffers, refilled every CPI: ObserveRows only
+	// reads its rows.
+	perSrc := make([][][]*linalg.Matrix, p0)
+	stacked := make([][]*linalg.Matrix, nSeg)
+	for seg := range stacked {
+		stacked[seg] = make([]*linalg.Matrix, len(bins))
+	}
+	parts := make([]*linalg.Matrix, p0)
 	for cpi := 0; cfg.more(cpi); cpi++ {
 		t0 := time.Now()
 		cfg.faultPoint(TaskHardWeight, w, cpi)
 		var c ctl
-		perSrc := make([][][]*linalg.Matrix, p0)
 		for s := 0; s < p0; s++ {
 			msg := comm.Recv(topo.groups[TaskDoppler].Global(s), tag(tagHardTrain, cpi)).(hardTrainMsg)
 			perSrc[s] = msg.rows
@@ -180,15 +198,12 @@ func hardWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 		if c.Reset && cpi > 0 {
 			state = stap.NewHardWeightStateForBins(p, beamAz, bins)
 		}
-		stacked := make([][]*linalg.Matrix, nSeg)
-		parts := make([]*linalg.Matrix, p0)
 		for seg := 0; seg < nSeg; seg++ {
-			stacked[seg] = make([]*linalg.Matrix, len(bins))
 			for bi := range bins {
 				for s := 0; s < p0; s++ {
 					parts[s] = perSrc[s][seg][bi]
 				}
-				stacked[seg][bi] = linalg.VStack(parts...)
+				stacked[seg][bi] = linalg.VStackInto(stacked[seg][bi], parts...)
 			}
 		}
 		t1 := time.Now()
@@ -209,7 +224,7 @@ func hardWeightWorker(world *mp.World, topo *topology, cfg Config, beamAz []floa
 			}
 		}
 		t3 := time.Now()
-		cfg.emit(TaskHardWeight, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		cfg.finish(TaskHardWeight, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
 
@@ -262,7 +277,7 @@ func easyBFWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64,
 		t2 := time.Now()
 		sendBeamRows(comm, topo, TaskEasyBeamStream, cpi, bins, out, c.next())
 		t3 := time.Now()
-		cfg.emit(TaskEasyBF, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		cfg.finish(TaskEasyBF, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
 
@@ -356,7 +371,7 @@ func hardBFWorker(world *mp.World, topo *topology, cfg Config, beamAz []float64,
 		t2 := time.Now()
 		sendBeamRows(comm, topo, TaskHardBeamStream, cpi, bins, out, c.next())
 		t3 := time.Now()
-		cfg.emit(TaskHardBF, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		cfg.finish(TaskHardBF, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
 
@@ -423,7 +438,7 @@ func pulseCompWorker(world *mp.World, topo *topology, cfg Config, w int, spans [
 			comm.Send(topo.groups[TaskCFAR].Global(cw), tag(tagPower, cpi), powerMsg{slab: sub, blk: ov, ctl: c.next()})
 		}
 		t3 := time.Now()
-		cfg.emit(TaskPulseComp, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		cfg.finish(TaskPulseComp, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }
 
@@ -467,6 +482,6 @@ func cfarWorker(world *mp.World, topo *topology, cfg Config, w int, spans []Span
 		comm.Send(topo.driver, tag(tagDet, cpi), detMsg{dets: dets, ctl: c.next()})
 		t3 := time.Now()
 		stamp(done, cpi, t3)
-		cfg.emit(TaskCFAR, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
+		cfg.finish(TaskCFAR, w, spans, cpi, Span{T0: t0, T1: t1, T2: t2, T3: t3}, c)
 	}
 }

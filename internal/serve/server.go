@@ -170,6 +170,11 @@ type job struct {
 	deadline time.Time
 	// attempts counts failover re-dispatches already consumed.
 	attempts int
+	// lostSlot and lostGen name the slot, and its replica incarnation,
+	// that most recently lost the job. Failover anti-affinity keeps the
+	// job off that slot while any other slot is live.
+	lostSlot int
+	lostGen  int64
 	// results is the job's delivered-CPI journal: results[i] is CPI i's
 	// detection report the moment the pipeline collector emitted it. On
 	// failover the non-nil prefix is the high-water mark of completed
@@ -265,10 +270,10 @@ type Server struct {
 	slots   []*replicaSlot
 
 	// failover carries jobs whose replica died mid-processing back to the
-	// pool for re-dispatch. Its capacity is the most jobs that can exist
-	// in the system at once (queue depth + one in flight per slot), so a
-	// failing replica's loop never blocks handing its job off.
-	failover chan *job
+	// pool for re-dispatch, with anti-affinity against the losing slot.
+	// Pushing never blocks, so a failing replica's loop always hands its
+	// job off.
+	failover *failoverQueue
 
 	// live is the number of currently healthy replicas; admission
 	// capacity scales with it (graceful degradation).
@@ -370,7 +375,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		queue:    make(chan *job, cfg.QueueDepth),
-		failover: make(chan *job, cfg.QueueDepth+total),
+		failover: newFailoverQueue(),
 		stopping: make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
@@ -712,9 +717,10 @@ func (s *Server) validate(req *Request) error {
 }
 
 // replicaLoop is one replica's job pump: it pulls from the failover
-// channel (jobs orphaned by a dying replica, served first so they meet
-// their deadlines) and the shared admission queue, and runs each job on
-// the slot's warm pipeline instance. The slot's circuit breaker gates
+// queue (jobs orphaned by a dying replica, served first so they meet
+// their deadlines; a job this slot lost is left to the other slots while
+// any of them is live) and the shared admission queue, and runs each job
+// on the slot's warm pipeline instance. The slot's circuit breaker gates
 // every pull: an open breaker parks the loop for the cooldown instead
 // of feeding jobs to a flapping replica. A fatal processing error
 // (worker fault, watchdog timeout) recycles the slot's pipeline under
@@ -732,12 +738,12 @@ func (s *Server) replicaLoop(slot *replicaSlot) {
 			}
 			continue
 		}
-		var j *job
-		select {
-		case j = <-s.failover:
-		default:
+		wake := s.failover.changed()
+		j := s.failover.take(slot.idx, s.otherLive(slot.idx))
+		if j == nil {
 			select {
-			case j = <-s.failover:
+			case <-wake:
+				continue
 			case qj, qok := <-s.queue:
 				if !qok {
 					return
@@ -792,10 +798,11 @@ func (s *Server) runJob(slot *replicaSlot, j *job) bool {
 			// live replica replays it from its input journal and the
 			// client never sees this replica's death.
 			j.attempts++
+			j.lostSlot, j.lostGen = slot.idx, gen
 			s.metrics.failovers.Add(1)
-			s.cfg.Logf("stapd: replica %d lost job %d mid-flight (%v); failover attempt %d/%d",
-				slot.idx, j.req.ID, err, j.attempts, s.cfg.FailoverBudget)
-			s.failover <- j
+			s.cfg.Logf("stapd: replica %d (incarnation %d) lost job %d mid-flight (%v); failover attempt %d/%d",
+				slot.idx, gen, j.req.ID, err, j.attempts, s.cfg.FailoverBudget)
+			s.failover.push(j)
 			return s.recycleAfter(slot, gen, err, true)
 		}
 		s.metrics.failed.Add(1)
@@ -951,7 +958,7 @@ func (s *Server) recycle(slot *replicaSlot, gen int64, cause error, record bool)
 	if !planned && record {
 		s.flightRecord(slot, cause)
 	}
-	stats.health.Store(replicaRestarting)
+	s.setHealth(stats, replicaRestarting)
 	s.live.Add(-1)
 	old := slot.stream()
 	old.Abort()
@@ -969,7 +976,7 @@ func (s *Server) recycle(slot *replicaSlot, gen int64, cause error, record bool)
 				s.cfg.Logf("stapd: replica %d cluster budget exhausted; degrading to in-process fallback", slot.idx)
 				continue
 			}
-			stats.health.Store(replicaDead)
+			s.setHealth(stats, replicaDead)
 			s.cfg.Logf("stapd: replica %d dead: restart budget %d exhausted", slot.idx, s.cfg.RestartBudget+slot.budgetBonus)
 			return false
 		}
@@ -979,7 +986,7 @@ func (s *Server) recycle(slot *replicaSlot, gen int64, cause error, record bool)
 			select {
 			case <-time.After(backoff):
 			case <-s.stopping:
-				stats.health.Store(replicaDead)
+				s.setHealth(stats, replicaDead)
 				return false
 			}
 		}
@@ -997,7 +1004,7 @@ func (s *Server) recycle(slot *replicaSlot, gen int64, cause error, record bool)
 		slot.st, slot.col = st, col
 		slot.mu.Unlock()
 		slot.gen.Add(1)
-		stats.health.Store(replicaLive)
+		s.setHealth(stats, replicaLive)
 		s.live.Add(1)
 		if planned {
 			s.cfg.Logf("stapd: replica %d reconnected under new placement", slot.idx)
@@ -1053,9 +1060,13 @@ func (s *Server) flightRecord(slot *replicaSlot, cause error) {
 // exhausted failover earned. Runs until shutdown closes the queue.
 func (s *Server) drainDead() {
 	for {
-		select {
-		case j := <-s.failover:
+		wake := s.failover.changed()
+		if j := s.failover.take(-1, false); j != nil {
 			s.failDead(j)
+			continue
+		}
+		select {
+		case <-wake:
 		case j, ok := <-s.queue:
 			if !ok {
 				s.drainFailover()
@@ -1084,14 +1095,27 @@ func (s *Server) failDead(j *job) {
 // Called when no replica loop can run jobs anymore (dead pool after the
 // queue closed, or end of shutdown).
 func (s *Server) drainFailover() {
-	for {
-		select {
-		case j := <-s.failover:
-			s.failDead(j)
-		default:
-			return
+	for j := s.failover.take(-1, false); j != nil; j = s.failover.take(-1, false) {
+		s.failDead(j)
+	}
+}
+
+// setHealth records a slot's health change and wakes failover waiters: a
+// slot leaving or rejoining the live set can make a job it was skipping
+// under anti-affinity takeable.
+func (s *Server) setHealth(stats *ReplicaStats, h int32) {
+	stats.health.Store(h)
+	s.failover.wake()
+}
+
+// otherLive reports whether any slot other than idx is live.
+func (s *Server) otherLive(idx int) bool {
+	for i, st := range s.metrics.replicas {
+		if i != idx && st.health.Load() == replicaLive {
+			return true
 		}
 	}
+	return false
 }
 
 // process runs one job: on the slot's warm stream normally, or through an

@@ -82,6 +82,7 @@ type HardWeightFullState struct {
 	// MaxHistory bounds retained CPIs (0 = unbounded); the recursive
 	// update needs no such bound.
 	MaxHistory int
+	solver     constrainedSolver
 }
 
 // NewHardWeightFullState creates the full-refactorization state over all
@@ -164,24 +165,17 @@ func (s *HardWeightFullState) Compute() ([][]*linalg.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	steer, fallback := hardSteering(p, s.beamAz, s.bins)
 	out := make([][]*linalg.Matrix, p.NumSegments())
-	var fallback *Weights
 	for seg := range rs {
 		out[seg] = make([]*linalg.Matrix, len(s.bins))
-		for i, d := range s.bins {
+		for i := range s.bins {
 			if rs[seg][i] == nil {
-				if fallback == nil {
-					fallback = SteeringWeights(p, s.beamAz)
-				}
-				out[seg][i] = fallback.Hard[seg][i].Clone()
+				out[seg][i] = fallback[i].Clone()
 				continue
 			}
-			steer := make([][]complex128, p.M)
-			for b, az := range s.beamAz {
-				steer[b] = radar.StaggeredSteeringVector(p.J, az, d, p.Stagger, p.N)
-			}
-			w, err := constrainedWeightsFromR(rs[seg][i], steer, p.BeamConstraintWt*s.rms[seg][i])
-			if err != nil {
+			w := linalg.NewMatrix(2*p.J, p.M)
+			if err := s.solver.solveR(rs[seg][i], steer[i], p.BeamConstraintWt*s.rms[seg][i], w); err != nil {
 				return nil, err
 			}
 			out[seg][i] = w

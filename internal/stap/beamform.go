@@ -30,6 +30,7 @@ func BeamformEasySlab(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out 
 func beamformEasyRows(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out *cube.Cube, lo, hi int) {
 	x := linalg.NewMatrix(p.J, p.K)
 	y := linalg.NewMatrix(p.M, p.K)
+	wh := linalg.NewMatrix(p.M, p.J)
 	for row := lo; row < hi; row++ {
 		for r := 0; r < p.K; r++ {
 			v := slab.Vec(row, r)
@@ -37,7 +38,8 @@ func beamformEasyRows(p radar.Params, slab *cube.Cube, ws []*linalg.Matrix, out 
 				x.Set(j, r, v[j])
 			}
 		}
-		linalg.MulInto(y, ws[row].H(), x)
+		ws[row].HInto(wh)
+		linalg.MulInto(y, wh, x)
 		for m := 0; m < p.M; m++ {
 			copy(out.Vec(row, m), y.Row(m))
 		}
@@ -64,21 +66,30 @@ func BeamformHardSlab(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, ou
 	beamformHardRows(p, slab, ws, out, 0, nb)
 }
 
-// beamformHardRows processes slab rows [lo, hi).
+// beamformHardRows processes slab rows [lo, hi), with scratch sized for
+// the longest range segment and reused across rows and segments.
 func beamformHardRows(p radar.Params, slab *cube.Cube, ws [][]*linalg.Matrix, out *cube.Cube, rowLo, rowHi int) {
+	maxLen := 0
+	for seg := 0; seg < p.NumSegments(); seg++ {
+		lo, hi := p.Segment(seg)
+		maxLen = max(maxLen, hi-lo)
+	}
+	xBuf := make([]complex128, 2*p.J*maxLen)
+	yBuf := make([]complex128, p.M*maxLen)
+	wh := linalg.NewMatrix(p.M, 2*p.J)
 	for row := rowLo; row < rowHi; row++ {
 		for seg := 0; seg < p.NumSegments(); seg++ {
 			lo, hi := p.Segment(seg)
-			wh := ws[seg][row].H() // M x 2J
-			x := linalg.NewMatrix(2*p.J, hi-lo)
+			ws[seg][row].HInto(wh)
+			x := linalg.Matrix{Rows: 2 * p.J, Cols: hi - lo, Data: xBuf[:2*p.J*(hi-lo)]}
 			for r := lo; r < hi; r++ {
 				v := slab.Vec(row, r)
 				for j := 0; j < 2*p.J; j++ {
 					x.Set(j, r-lo, v[j])
 				}
 			}
-			y := linalg.NewMatrix(p.M, hi-lo)
-			linalg.MulInto(y, wh, x)
+			y := linalg.Matrix{Rows: p.M, Cols: hi - lo, Data: yBuf[:p.M*(hi-lo)]}
+			linalg.MulInto(&y, wh, &x)
 			for m := 0; m < p.M; m++ {
 				copy(out.Vec(row, m)[lo:hi], y.Row(m))
 			}

@@ -66,6 +66,8 @@ func cfarScan(p radar.Params, power *cube.RealCube, base, lo, hi int, local bool
 	g, ref, scale := p.CFARGuard, p.CFARRef, p.CFARScale
 	kind := CFARKind(p.CFARKind)
 	var osBuf []float64
+	// Prefix sums make each window sum O(1); prefix[0] stays 0.
+	prefix := make([]float64, power.Dim[2]+1)
 	for d := lo; d < hi; d++ {
 		row := d
 		if local {
@@ -73,8 +75,6 @@ func cfarScan(p radar.Params, power *cube.RealCube, base, lo, hi int, local bool
 		}
 		for m := 0; m < p.M; m++ {
 			vec := power.Vec(row, m)
-			// Prefix sums make each window sum O(1).
-			prefix := make([]float64, len(vec)+1)
 			for i, v := range vec {
 				prefix[i+1] = prefix[i] + v
 			}

@@ -4,6 +4,7 @@ import (
 	mrand "math/rand"
 
 	"pstap/internal/cube"
+	"pstap/internal/linalg"
 	"pstap/internal/radar"
 )
 
@@ -17,3 +18,14 @@ func newStag(p radar.Params) *cubeT {
 
 // newTestRng returns a seeded math/rand source for deterministic tests.
 func newTestRng(seed int64) *mrand.Rand { return mrand.New(mrand.NewSource(seed)) }
+
+// constrainedWeights solves the Figure 13 problem for one training matrix
+// through the easy task's kernel.
+func constrainedWeights(train *linalg.Matrix, steer [][]complex128, constraintWt float64) (*linalg.Matrix, error) {
+	var cs constrainedSolver
+	out := linalg.NewMatrix(train.Cols, len(steer))
+	if err := cs.solveTraining([]*linalg.Matrix{train}, steer, constraintWt, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

@@ -33,20 +33,12 @@ func SteeringWeights(p radar.Params, beamAz []float64) *Weights {
 	for i := range easyBins {
 		w.Easy[i] = st.Clone()
 	}
-	hardBins := p.HardBins()
+	_, hard := hardSteering(p, beamAz, p.HardBins())
 	w.Hard = make([][]*linalg.Matrix, p.NumSegments())
 	for s := range w.Hard {
-		w.Hard[s] = make([]*linalg.Matrix, len(hardBins))
-		for i, d := range hardBins {
-			m := linalg.NewMatrix(2*p.J, p.M)
-			for b, az := range beamAz {
-				sv := radar.StaggeredSteeringVector(p.J, az, d, p.Stagger, p.N)
-				linalg.Normalize(sv)
-				for r, v := range sv {
-					m.Set(r, b, v)
-				}
-			}
-			w.Hard[s][i] = m
+		w.Hard[s] = make([]*linalg.Matrix, len(hard))
+		for i, m := range hard {
+			w.Hard[s][i] = m.Clone()
 		}
 	}
 	return w
@@ -63,6 +55,13 @@ type EasyWeightState struct {
 	// hist[age][binIdx]: training rows (EasySamplesPerCPI x J) from the
 	// CPI `age+1` steps in the past; hist[0] is the most recent.
 	hist [][]*linalg.Matrix
+	// steer is the J x M steering matrix: its columns are the constraint
+	// targets of the solve, and it is the fallback weight of a bin with
+	// no usable training data.
+	steer  *linalg.Matrix
+	steerV [][]complex128 // steer's columns
+	cells  []int          // Observe's training cells, set on first use
+	solver constrainedSolver
 }
 
 // NewEasyWeightState creates empty training history covering all easy
@@ -75,7 +74,17 @@ func NewEasyWeightState(p radar.Params, beamAz []float64) *EasyWeightState {
 // Doppler bins — the per-processor state of the parallel easy weight task,
 // which partitions the work along the Doppler dimension.
 func NewEasyWeightStateForBins(p radar.Params, beamAz []float64, bins []int) *EasyWeightState {
-	return &EasyWeightState{p: p, beamAz: beamAz, bins: bins}
+	s := &EasyWeightState{p: p, beamAz: beamAz, bins: bins}
+	s.steer = radar.SteeringMatrix(p.J, beamAz)
+	s.steerV = make([][]complex128, p.M)
+	for b := range s.steerV {
+		s.steerV[b] = make([]complex128, p.J)
+		for j := range s.steerV[b] {
+			s.steerV[b][j] = s.steer.At(j, b)
+		}
+	}
+	s.solver.qr.Reset(p.EasyTrainingCPIs*p.EasySamplesPerCPI+p.J, p.J)
+	return s
 }
 
 // Bins returns the global easy Doppler bins this state owns.
@@ -96,27 +105,39 @@ func EasyTrainingRanges(p radar.Params) []int {
 // sending to the weight tasks. Returns nil matrices replaced by 0-row
 // matrices when no training cell falls in the slab.
 func ExtractEasyRows(p radar.Params, slab *cube.Cube, slabBlk cube.Block, bins []int) []*linalg.Matrix {
-	ranges := EasyTrainingRanges(p)
+	out := make([]*linalg.Matrix, len(bins))
+	fillRows(out, slab, slabBlk.Lo, cellsIn(EasyTrainingRanges(p), slabBlk), p.J, bins)
+	return out
+}
+
+// cellsIn returns the cells that fall inside blk.
+func cellsIn(cells []int, blk cube.Block) []int {
 	var local []int
-	for _, r := range ranges {
-		if slabBlk.Contains(r) {
+	for _, r := range cells {
+		if blk.Contains(r) {
 			local = append(local, r)
 		}
 	}
-	out := make([]*linalg.Matrix, len(bins))
+	return local
+}
+
+// fillRows writes, for each bin, the conjugated snapshots of the first
+// `channels` channels at the given global range cells into dst[binIdx],
+// reusing dst's matrices where they are large enough. The slab is in
+// staggered order and its first range cell is global range lo.
+func fillRows(dst []*linalg.Matrix, slab *cube.Cube, lo int, cells []int, channels int, bins []int) {
 	for i, d := range bins {
-		m := linalg.NewMatrix(len(local), p.J)
-		for row, r := range local {
-			for j := 0; j < p.J; j++ {
+		m := linalg.Resize(dst[i], len(cells), channels)
+		for row, r := range cells {
+			for j := 0; j < channels; j++ {
 				// Rows are conjugated snapshots so that minimizing ||S w||
 				// minimizes the beamformer output |w^H x| on the training
 				// data (the beamformer applies the Hermitian of the weight).
-				m.Set(row, j, conj(slab.At(r-slabBlk.Lo, j, d)))
+				m.Set(row, j, conj(slab.At(r-lo, j, d)))
 			}
 		}
-		out[i] = m
+		dst[i] = m
 	}
-	return out
 }
 
 // Observe folds the Doppler-filtered CPI (staggered order, full K range
@@ -127,22 +148,40 @@ func (s *EasyWeightState) Observe(doppler *cube.Cube) {
 	if doppler.Axes != radar.StaggeredOrder {
 		panic(fmt.Sprintf("stap: easy Observe wants %v, got %v", radar.StaggeredOrder, doppler.Axes))
 	}
-	s.ObserveRows(ExtractEasyRows(s.p, doppler, cube.Block{Lo: 0, Hi: s.p.K}, s.bins))
+	if s.cells == nil {
+		s.cells = EasyTrainingRanges(s.p)
+	}
+	fillRows(s.push(), doppler, 0, s.cells, s.p.J, s.bins)
 }
 
 // ObserveRows folds pre-collected training rows into the history; rows[i]
 // corresponds to Bins()[i]. In the parallel pipeline the rows arrive from
 // the Doppler task processors and are stacked in rank order (equal to
 // ascending range order), which leaves the least squares solution
-// unchanged.
+// unchanged. The rows are copied, so callers may reuse them.
 func (s *EasyWeightState) ObserveRows(rows []*linalg.Matrix) {
 	if len(rows) != len(s.bins) {
 		panic(fmt.Sprintf("stap: ObserveRows got %d row sets for %d bins", len(rows), len(s.bins)))
 	}
-	s.hist = append([][]*linalg.Matrix{rows}, s.hist...)
-	if len(s.hist) > s.p.EasyTrainingCPIs {
-		s.hist = s.hist[:s.p.EasyTrainingCPIs]
+	slot := s.push()
+	for i, m := range rows {
+		slot[i] = linalg.VStackInto(slot[i], m)
 	}
+}
+
+// push makes room for the newest CPI's rows at hist[0] and returns that
+// slot. Once the history is full the oldest slot's matrices are recycled.
+func (s *EasyWeightState) push() []*linalg.Matrix {
+	var slot []*linalg.Matrix
+	if len(s.hist) == s.p.EasyTrainingCPIs {
+		slot = s.hist[len(s.hist)-1]
+	} else {
+		slot = make([]*linalg.Matrix, len(s.bins))
+		s.hist = append(s.hist, nil)
+	}
+	copy(s.hist[1:], s.hist)
+	s.hist[0] = slot
+	return slot
 }
 
 // Ready reports whether any training data has been observed.
@@ -153,98 +192,179 @@ func (s *EasyWeightState) Ready() bool { return len(s.hist) > 0 }
 // like Bins()). Falls back to pure steering weights for bins with no
 // history.
 func (s *EasyWeightState) Compute() []*linalg.Matrix {
-	p := s.p
-	out := make([]*linalg.Matrix, len(s.bins))
-	steer := radar.SteeringMatrix(p.J, s.beamAz)
+	out := weightSlab(1, len(s.bins), s.p.J, s.p.M)[0]
+	blocks := make([]*linalg.Matrix, len(s.hist))
 	for i := range s.bins {
-		if len(s.hist) == 0 {
-			out[i] = steer.Clone()
-			continue
+		for age, snap := range s.hist {
+			blocks[age] = snap[i]
 		}
-		blocks := make([]*linalg.Matrix, 0, len(s.hist))
-		for _, snap := range s.hist {
-			blocks = append(blocks, snap[i])
+		if len(s.hist) == 0 || s.solver.solveTraining(blocks, s.steerV, s.p.BeamConstraintWt, out[i]) != nil {
+			// No history, or degenerate training data: keep the
+			// non-adaptive weights.
+			copy(out[i].Data, s.steer.Data)
 		}
-		train := linalg.VStack(blocks...)
-		ws := make([][]complex128, p.M)
-		for b := 0; b < p.M; b++ {
-			col := make([]complex128, p.J)
-			for j := 0; j < p.J; j++ {
-				col[j] = steer.At(j, b)
-			}
-			ws[b] = col
-		}
-		w, err := constrainedWeights(train, ws, p.BeamConstraintWt)
-		if err != nil {
-			// Degenerate training data: keep the non-adaptive weights.
-			out[i] = steer.Clone()
-			continue
-		}
-		out[i] = w
 	}
 	return out
 }
 
-// constrainedWeights solves the Figure 13 problem: minimize ||S w||^2 +
-// k_eff^2 ||w - ws||^2 for each steering vector, sharing one QR
-// factorization across all beams (the paper's multi-beam saving: the data
-// matrix is independent of the pointing angle). k_eff scales the raw
-// constraint weight by the RMS magnitude of the training data (the MATLAB
-// `avg * diagWts`). Each weight column is normalized to unit length.
-func constrainedWeights(train *linalg.Matrix, steer [][]complex128, constraintWt float64) (*linalg.Matrix, error) {
-	nch := train.Cols
-	rms := linalg.FrobNorm(train) / math.Sqrt(float64(train.Rows*nch))
+// weightSlab returns nSeg x nBins fresh rows x cols weight matrices backed
+// by one allocation. Each Compute returns new matrices: the in-process
+// pipeline hands them to the beamforming workers by pointer, and those
+// apply them while the next CPI's weights are being computed.
+func weightSlab(nSeg, nBins, rows, cols int) [][]*linalg.Matrix {
+	n := nSeg * nBins
+	ms := make([]linalg.Matrix, n)
+	ptrs := make([]*linalg.Matrix, n)
+	data := make([]complex128, n*rows*cols)
+	for i := range ms {
+		sz := rows * cols
+		ms[i] = linalg.Matrix{Rows: rows, Cols: cols, Data: data[i*sz : (i+1)*sz : (i+1)*sz]}
+		ptrs[i] = &ms[i]
+	}
+	out := make([][]*linalg.Matrix, nSeg)
+	for seg := range out {
+		out[seg] = ptrs[seg*nBins : (seg+1)*nBins : (seg+1)*nBins]
+	}
+	return out
+}
+
+// constrainedSolver is the reusable workspace of the Figure 13 problem:
+// minimize ||T w||^2 + k^2 ||w - ws||^2 for each steering vector ws,
+// sharing one QR factorization of A = [T; k I] across all beams (the
+// paper's multi-beam saving: the data matrix is independent of the
+// pointing angle). Each weight column is normalized to unit length.
+//
+// Two top blocks T occur. The easy task stacks its raw training rows
+// (t x n, dense); the hard task stacks its recursive triangular factor R
+// (n x n). Below either, the k I block fills in as a staircase: the
+// reflector of column c reaches down to row t+c, so column c's support is
+// rows c..t+c (easy) or row c plus rows n..n+c (hard). The same staircase
+// zeroes Q[t+j, c] for j > c, so the solve skips those terms too. Skipped
+// entries are exact zeros, which keeps the result bit-identical to a
+// dense factorization (see linalg.QRWork).
+type constrainedSolver struct {
+	qr     linalg.QRWork
+	top    int
+	ck     []complex128 // ck[c*n+j] = conj(Q[top+j, c]) * k, for j <= c
+	qhb, x []complex128
+}
+
+// solveTraining solves for the stacked training blocks. The constraint
+// weight k scales constraintWt by the RMS magnitude of the training data
+// (the MATLAB `avg * diagWts`).
+func (cs *constrainedSolver) solveTraining(blocks []*linalg.Matrix, steer [][]complex128, constraintWt float64, out *linalg.Matrix) error {
+	n := blocks[0].Cols
+	t := 0
+	for _, b := range blocks {
+		t += b.Rows
+	}
+	cs.qr.Reset(t+n, n)
+	train := cs.qr.A.Data[:t*n]
+	off := 0
+	for _, b := range blocks {
+		off += copy(train[off:], b.Data)
+	}
+	rms := linalg.Norm2(train) / math.Sqrt(float64(t*n))
 	if rms == 0 {
-		return nil, fmt.Errorf("stap: zero training data")
+		return fmt.Errorf("stap: zero training data")
 	}
-	kEff := complex(constraintWt*rms, 0)
-	a := linalg.VStack(train, linalg.Identity(nch).Scale(kEff))
-	qr, err := linalg.QRFactor(a)
-	if err != nil {
-		return nil, err
+	cs.top = t
+	for c := 0; c < n; c++ {
+		cs.qr.SetSupport(c, c+1, t+c+1)
 	}
-	out := linalg.NewMatrix(nch, len(steer))
+	return cs.solve(complex(constraintWt*rms, 0), steer, out)
+}
+
+// solveR solves with the data block already reduced to its triangular
+// factor r (the hard task's block update: stack [R; k_eff I] and solve).
+// kEff is an absolute scale here.
+func (cs *constrainedSolver) solveR(r *linalg.Matrix, steer [][]complex128, kEff float64, out *linalg.Matrix) error {
+	if kEff <= 0 {
+		return fmt.Errorf("stap: non-positive constraint scale")
+	}
+	n := r.Cols
+	cs.qr.Reset(2*n, n)
+	copy(cs.qr.A.Data, r.Data)
+	cs.top = n
+	for c := 0; c < n; c++ {
+		cs.qr.SetSupport(c, n, n+c+1)
+	}
+	return cs.solve(complex(kEff, 0), steer, out)
+}
+
+// solve writes k I below the top block the caller loaded, factors, and
+// back-substitutes once per steering vector into out's columns.
+func (cs *constrainedSolver) solve(k complex128, steer [][]complex128, out *linalg.Matrix) error {
+	a := &cs.qr.A
+	n, top := a.Cols, cs.top
+	low := a.Data[top*n:]
+	clear(low)
+	for c := 0; c < n; c++ {
+		low[c*n+c] = k
+	}
+	cs.qr.Factor()
+	q := cs.qr.FormQ()
+	if cap(cs.ck) < n*n {
+		cs.ck, cs.qhb, cs.x = make([]complex128, n*n), make([]complex128, n), make([]complex128, n)
+	}
+	cs.ck, cs.qhb, cs.x = cs.ck[:n*n], cs.qhb[:n], cs.x[:n]
 	// rhs is zero on the data rows, so Q^H b only touches the constraint
-	// block: (Q^H b)[c] = sum_j conj(Q[train.Rows+j, c]) * kEff * ws[j].
-	for b, ws := range steer {
-		if len(ws) != nch {
-			return nil, fmt.Errorf("stap: steering length %d, want %d", len(ws), nch)
-		}
-		qhb := make([]complex128, nch)
-		for c := 0; c < nch; c++ {
-			var sum complex128
-			for j := 0; j < nch; j++ {
-				sum += conj(qr.Q.At(train.Rows+j, c)) * kEff * ws[j]
-			}
-			qhb[c] = sum
-		}
-		w, err := linalg.BackSubstitute(qr.R, qhb)
-		if err != nil {
-			return nil, err
-		}
-		linalg.Normalize(w)
-		for j := 0; j < nch; j++ {
-			out.Set(j, b, w[j])
+	// block: (Q^H b)[c] = sum_j conj(Q[top+j, c]) * k * ws[j].
+	for c := 0; c < n; c++ {
+		for j := 0; j <= c; j++ {
+			cs.ck[c*n+j] = conj(q.At(top+j, c)) * k
 		}
 	}
-	return out, nil
+	r := linalg.Matrix{Rows: n, Cols: n, Data: a.Data[:n*n]} // R, over the residue below
+	for b, ws := range steer {
+		if len(ws) != n {
+			return fmt.Errorf("stap: steering length %d, want %d", len(ws), n)
+		}
+		for c := 0; c < n; c++ {
+			var sum complex128
+			for j, x := range cs.ck[c*n : c*n+c+1] {
+				sum += x * ws[j]
+			}
+			cs.qhb[c] = sum
+		}
+		if err := linalg.BackSubstituteInto(cs.x, &r, cs.qhb); err != nil {
+			return err
+		}
+		linalg.Normalize(cs.x)
+		for j, v := range cs.x {
+			out.Set(j, b, v)
+		}
+	}
+	return nil
 }
 
 func conj(v complex128) complex128 { return complex(real(v), -imag(v)) }
 
 // HardWeightState carries the recursive QR state of the hard task: one
 // triangular factor per (range segment, hard Doppler bin), exponentially
-// forgotten across CPIs.
+// forgotten across CPIs. Its workspaces are created with the state and
+// reused every CPI; a job reset drops them with the state.
 type HardWeightState struct {
 	p      radar.Params
 	beamAz []float64
 	bins   []int // global hard Doppler bins this state owns
 	// r[s][binIdx] is the 2J x 2J triangular factor, nil before the first
-	// observation.
+	// observation. Warm updates overwrite it in place.
 	r [][]*linalg.Matrix
 	// rms[s][binIdx] tracks the running RMS element magnitude of observed
 	// training data for constraint scaling.
 	rms [][]float64
+	// steer[binIdx][beam] is the staggered steering vector the solve
+	// constrains towards; fallback[binIdx] holds the same vectors, unit
+	// normalized, as the 2J x M cold-start weights.
+	steer    [][][]complex128
+	fallback []*linalg.Matrix
+	// obsRows is Observe's extraction buffer for the training cells
+	// obsCells[seg], allocated on first use.
+	obsRows  [][]*linalg.Matrix
+	obsCells [][]int
+	upd      linalg.QRWork
+	solver   constrainedSolver
 }
 
 // NewHardWeightState creates empty recursive state covering all hard bins.
@@ -262,7 +382,31 @@ func NewHardWeightStateForBins(p radar.Params, beamAz []float64, bins []int) *Ha
 		s.r[seg] = make([]*linalg.Matrix, len(bins))
 		s.rms[seg] = make([]float64, len(bins))
 	}
+	s.steer, s.fallback = hardSteering(p, beamAz, bins)
+	s.upd.Reset(2*p.J+p.HardSamplesPerSegment, 2*p.J)
+	s.solver.qr.Reset(4*p.J, 2*p.J)
 	return s
+}
+
+// hardSteering returns, per hard bin, the staggered steering vectors of
+// every beam and the matching unit-norm 2J x M steering weights (the
+// matrices SteeringWeights returns for the hard bins).
+func hardSteering(p radar.Params, beamAz []float64, bins []int) ([][][]complex128, []*linalg.Matrix) {
+	steer := make([][][]complex128, len(bins))
+	fallback := make([]*linalg.Matrix, len(bins))
+	for i, d := range bins {
+		steer[i] = make([][]complex128, len(beamAz))
+		fallback[i] = linalg.NewMatrix(2*p.J, len(beamAz))
+		for b, az := range beamAz {
+			steer[i][b] = radar.StaggeredSteeringVector(p.J, az, d, p.Stagger, p.N)
+			sv := append([]complex128(nil), steer[i][b]...)
+			linalg.Normalize(sv)
+			for r, v := range sv {
+				fallback[i].Set(r, b, v)
+			}
+		}
+	}
+	return steer, fallback
 }
 
 // Bins returns the global hard Doppler bins this state owns.
@@ -285,24 +429,9 @@ func HardTrainingRanges(p radar.Params, seg int) []int {
 // whose training cells all fall outside the slab yield 0-row matrices.
 func ExtractHardRows(p radar.Params, slab *cube.Cube, slabBlk cube.Block, bins []int) [][]*linalg.Matrix {
 	out := make([][]*linalg.Matrix, p.NumSegments())
-	for seg := 0; seg < p.NumSegments(); seg++ {
-		var local []int
-		for _, r := range HardTrainingRanges(p, seg) {
-			if slabBlk.Contains(r) {
-				local = append(local, r)
-			}
-		}
+	for seg := range out {
 		out[seg] = make([]*linalg.Matrix, len(bins))
-		for i, d := range bins {
-			m := linalg.NewMatrix(len(local), 2*p.J)
-			for row, r := range local {
-				for j := 0; j < 2*p.J; j++ {
-					// Conjugated snapshots; see the easy task's Observe.
-					m.Set(row, j, conj(slab.At(r-slabBlk.Lo, j, d)))
-				}
-			}
-			out[seg][i] = m
-		}
+		fillRows(out[seg], slab, slabBlk.Lo, cellsIn(HardTrainingRanges(p, seg), slabBlk), 2*p.J, bins)
 	}
 	return out
 }
@@ -315,27 +444,44 @@ func (s *HardWeightState) Observe(doppler *cube.Cube) {
 	if doppler.Axes != radar.StaggeredOrder {
 		panic(fmt.Sprintf("stap: hard Observe wants %v, got %v", radar.StaggeredOrder, doppler.Axes))
 	}
-	s.ObserveRows(ExtractHardRows(s.p, doppler, cube.Block{Lo: 0, Hi: s.p.K}, s.bins))
+	if s.obsRows == nil {
+		s.obsCells = make([][]int, s.p.NumSegments())
+		s.obsRows = make([][]*linalg.Matrix, s.p.NumSegments())
+		for seg := range s.obsCells {
+			s.obsCells[seg] = HardTrainingRanges(s.p, seg)
+			s.obsRows[seg] = make([]*linalg.Matrix, len(s.bins))
+		}
+	}
+	for seg, cells := range s.obsCells {
+		fillRows(s.obsRows[seg], doppler, 0, cells, 2*s.p.J, s.bins)
+	}
+	s.ObserveRows(s.obsRows)
 }
 
 // ObserveRows folds pre-collected training rows (indexed [segment][binIdx]
-// like ExtractHardRows) into the recursive QR state.
+// like ExtractHardRows) into the recursive QR state. The rows are only
+// read during the call, so callers may reuse them.
 func (s *HardWeightState) ObserveRows(rows [][]*linalg.Matrix) {
 	p := s.p
 	if len(rows) != p.NumSegments() {
 		panic(fmt.Sprintf("stap: ObserveRows got %d segments, want %d", len(rows), p.NumSegments()))
 	}
+	f := p.ForgettingFactor
 	for seg := 0; seg < p.NumSegments(); seg++ {
 		if len(rows[seg]) != len(s.bins) {
 			panic(fmt.Sprintf("stap: segment %d has %d row sets for %d bins", seg, len(rows[seg]), len(s.bins)))
 		}
 		for i := range s.bins {
 			blk := rows[seg][i]
-			newR, err := linalg.UpdateR(s.r[seg][i], p.ForgettingFactor, blk)
+			var err error
+			if s.r[seg][i] == nil {
+				s.r[seg][i], err = linalg.UpdateR(nil, f, blk)
+			} else {
+				err = s.upd.UpdateR(s.r[seg][i], f, blk)
+			}
 			if err != nil {
 				continue // keep previous state on degenerate update
 			}
-			s.r[seg][i] = newR
 			if blk.Rows == 0 {
 				continue
 			}
@@ -343,7 +489,6 @@ func (s *HardWeightState) ObserveRows(rows [][]*linalg.Matrix) {
 			if s.rms[seg][i] == 0 {
 				s.rms[seg][i] = rms
 			} else {
-				f := p.ForgettingFactor
 				s.rms[seg][i] = math.Sqrt(f*f*s.rms[seg][i]*s.rms[seg][i] + (1-f*f)*rms*rms)
 			}
 		}
@@ -368,75 +513,15 @@ func (s *HardWeightState) Ready() bool {
 // Segments/bins with no state yet fall back to staggered steering weights.
 func (s *HardWeightState) Compute() [][]*linalg.Matrix {
 	p := s.p
-	hardAll := p.HardBins()
-	globalIdx := make(map[int]int, len(hardAll))
-	for i, d := range hardAll {
-		globalIdx[d] = i
-	}
-	out := make([][]*linalg.Matrix, p.NumSegments())
-	var fallback *Weights
+	out := weightSlab(p.NumSegments(), len(s.bins), 2*p.J, p.M)
 	for seg := range out {
-		out[seg] = make([]*linalg.Matrix, len(s.bins))
-		for i, d := range s.bins {
-			r := s.r[seg][i]
-			if r == nil {
-				if fallback == nil {
-					fallback = SteeringWeights(p, s.beamAz)
-				}
-				out[seg][i] = fallback.Hard[seg][globalIdx[d]].Clone()
-				continue
-			}
-			steer := make([][]complex128, p.M)
-			for b, az := range s.beamAz {
-				steer[b] = radar.StaggeredSteeringVector(p.J, az, d, p.Stagger, p.N)
-			}
+		for i, w := range out[seg] {
 			// The data term is fully summarized by R: ||S w||^2 = ||R w||^2.
-			w, err := constrainedWeightsFromR(r, steer, p.BeamConstraintWt*s.rms[seg][i])
-			if err != nil {
-				if fallback == nil {
-					fallback = SteeringWeights(p, s.beamAz)
-				}
-				out[seg][i] = fallback.Hard[seg][globalIdx[d]].Clone()
-				continue
+			r := s.r[seg][i]
+			if r == nil || s.solver.solveR(r, s.steer[i], p.BeamConstraintWt*s.rms[seg][i], w) != nil {
+				copy(w.Data, s.fallback[i].Data)
 			}
-			out[seg][i] = w
 		}
 	}
 	return out
-}
-
-// constrainedWeightsFromR is constrainedWeights with the data block already
-// reduced to its triangular factor (the hard task's block update: stack
-// [R; k_eff I] and solve). kEff is an absolute scale here.
-func constrainedWeightsFromR(r *linalg.Matrix, steer [][]complex128, kEff float64) (*linalg.Matrix, error) {
-	nch := r.Cols
-	if kEff <= 0 {
-		return nil, fmt.Errorf("stap: non-positive constraint scale")
-	}
-	k := complex(kEff, 0)
-	a := linalg.VStack(r, linalg.Identity(nch).Scale(k))
-	qr, err := linalg.QRFactor(a)
-	if err != nil {
-		return nil, err
-	}
-	out := linalg.NewMatrix(nch, len(steer))
-	for b, ws := range steer {
-		qhb := make([]complex128, nch)
-		for c := 0; c < nch; c++ {
-			var sum complex128
-			for j := 0; j < nch; j++ {
-				sum += conj(qr.Q.At(r.Rows+j, c)) * k * ws[j]
-			}
-			qhb[c] = sum
-		}
-		w, err := linalg.BackSubstitute(qr.R, qhb)
-		if err != nil {
-			return nil, err
-		}
-		linalg.Normalize(w)
-		for j := 0; j < nch; j++ {
-			out.Set(j, b, w[j])
-		}
-	}
-	return out, nil
 }
